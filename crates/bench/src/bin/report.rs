@@ -4,7 +4,7 @@
 //! Usage: `cargo run -p ncql-bench --bin report [--full]`
 //!
 //! The default run uses small, laptop-friendly parameter sweeps; `--full` uses
-//! the larger sweeps quoted in EXPERIMENTS.md.
+//! larger sweeps. The expected shapes are encoded in `ncql_bench::check_shapes`.
 
 use ncql_bench as bench;
 
@@ -85,7 +85,7 @@ fn main() {
 
     match bench::check_shapes(&tables) {
         Ok(()) => {
-            println!("All qualitative shapes hold (see EXPERIMENTS.md for the expected shapes).")
+            println!("All qualitative shapes hold (see ncql_bench::check_shapes for the expected shapes).")
         }
         Err(e) => {
             eprintln!("SHAPE CHECK FAILED: {e}");

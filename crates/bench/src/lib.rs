@@ -1,10 +1,11 @@
 //! Experiment harness reproducing the paper's propositions and worked examples.
 //!
 //! The paper has no empirical tables (it is a theory paper); the "evaluation" we
-//! reproduce is the set of measurable claims listed in `DESIGN.md` §4 and
-//! `EXPERIMENTS.md` (E1–E13). Each `e*` function runs one experiment over a
-//! parameter sweep and returns a [`Table`] of rows; the `report` binary prints
-//! every table, and the Criterion benches time the underlying operations.
+//! reproduce is the set of measurable claims E1–E13, whose expected
+//! qualitative shapes [`check_shapes`] encodes. Each `e*` function runs one
+//! experiment over a parameter sweep and returns a [`Table`] of rows; the
+//! `report` binary prints every table, and the Criterion benches time the
+//! underlying operations (see the README's "Build, test, bench" section).
 
 use ncql_circuit::compile::compile_stats;
 use ncql_circuit::dcl::direct_connection_language;
@@ -12,7 +13,6 @@ use ncql_circuit::logspace::{LogSpaceMeter, UniformTcFamily};
 use ncql_circuit::relquery::RelQuery;
 use ncql_core::eval::{eval_with_stats, log_rounds, EvalConfig, Evaluator};
 use ncql_core::expr::Expr;
-use ncql_core::parallel::ParallelEvaluator;
 use ncql_core::wellformed::{CheckOptions, LawChecker};
 use ncql_core::{derived, EvalError};
 use ncql_engine::{OptLevel, SessionBuilder};
@@ -324,7 +324,7 @@ pub fn e7_ptime_vs_nc(sizes: &[u64], threads: usize) -> Table {
         // Default cutover: the quick-run sizes are small enough that forking
         // every inner ext would be pure overhead; the Criterion bench drives
         // the genuinely parallel sizes.
-        let mut par_ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut par_ev = Evaluator::new(EvalConfig {
             parallelism: Some(threads),
             ..EvalConfig::default()
         });

@@ -21,6 +21,7 @@ use crate::externs::ExternRegistry;
 use crate::EvalResult;
 use ncql_object::{FlatShape, VSet, Value};
 use ncql_pram::{RegionPermit, TaskError, WorkStealingPool};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
@@ -397,10 +398,11 @@ pub struct Evaluator {
     /// (sequential backend, or no finite limit configured).
     shared_work: Option<Arc<AtomicU64>>,
     /// The persistent work-stealing pool parallel regions fork onto. Created
-    /// lazily on the first parallel evaluation (or attached by the owning
-    /// `ParallelEvaluator`/`Session`, which share one pool across
-    /// executions); `None` on the sequential backend, which therefore never
-    /// spawns a worker thread.
+    /// lazily on the first evaluation of an evaluator whose
+    /// `EvalConfig::parallelism` is `Some(n ≥ 2)`, unless the owner attached
+    /// one first (an engine `Session` attaches its own, sharing one pool
+    /// across executions); `None` on the sequential backend, which therefore
+    /// never spawns a worker thread.
     pool: Option<Arc<WorkStealingPool>>,
     /// Cooperative cancellation flag, polled at every work charge. `None`
     /// (the default) costs nothing; workers inherit the parent's token so the
@@ -756,50 +758,47 @@ impl Evaluator {
                 // Kernel fast path: a columnar argument whose function body
                 // compiles to a row kernel runs directly over the word rows.
                 // Values, work, span and every counter are bit-identical to
-                // the interpreted element map below (the kernel replays the
+                // the interpreted element map (the kernel replays the
                 // interpreter's exact per-element charges), so this is purely
                 // an execution strategy — `config.kernels = false` or any
-                // unliftable body falls through with no observable change.
-                if self.config.kernels {
-                    if let Some(shape) = set.columnar_rows().map(|(s, _, _)| s.clone()) {
-                        if let Some(kernel) = clo.row_kernel(&shape, &self.config.registry) {
-                            let (parts, max_elem_span) =
-                                self.ext_rows_kernel(region.as_ref(), &kernel, &set)?;
-                            crate::kernel::note_ext_hit(set.len());
-                            let result = self.merge_ext_parts(region.as_ref(), parts)?;
-                            self.add_work(result.len() as u64)?;
-                            self.note_set(&result)?;
-                            return Ok((
-                                RtVal::Obj(Value::Set(result)),
-                                sf + se + max_elem_span + 1,
-                            ));
-                        }
+                // unliftable body takes the interpreted map with no
+                // observable change.
+                let kernel = match set.columnar_rows() {
+                    Some((shape, _, _)) if self.config.kernels => {
+                        clo.row_kernel(shape, &self.config.registry)
                     }
-                }
-                let mapped: Vec<(Value, u64)> = match &region {
-                    Some(region) => self.par_leaf_map(region, &clo, set.as_slice(), true, &None)?,
-                    None => {
-                        let mut out = Vec::with_capacity(set.len());
-                        for x in set.iter() {
-                            self.stats.ext_calls += 1;
-                            out.push(self.apply_obj(&clo, x.clone())?);
-                        }
-                        out
-                    }
+                    _ => None,
                 };
-                let mut parts: Vec<VSet> = Vec::with_capacity(mapped.len());
-                let mut max_elem_span = 0u64;
-                for (res, sx) in mapped {
-                    max_elem_span = max_elem_span.max(sx);
-                    match res {
-                        Value::Set(s) => parts.push(s),
-                        other => {
-                            return Err(EvalError::stuck(format!(
-                                "ext function returned a non-set {other}"
-                            )))
-                        }
+                let (parts, max_elem_span) = match kernel {
+                    Some(kernel) => {
+                        let parts = self.ext_rows_kernel(region.as_ref(), &kernel, &set)?;
+                        crate::kernel::note_ext_hit(set.len());
+                        parts
                     }
-                }
+                    None => self.shards(
+                        region.as_ref(),
+                        Cow::Borrowed(set.as_slice()),
+                        1,
+                        |ev, elements| {
+                            let mut parts = Vec::with_capacity(elements.len());
+                            let mut max_span = 0u64;
+                            for x in elements.iter() {
+                                ev.stats.ext_calls += 1;
+                                let (res, s) = ev.apply_obj(&clo, x.clone())?;
+                                max_span = max_span.max(s);
+                                match res {
+                                    Value::Set(s) => parts.push(s),
+                                    other => {
+                                        return Err(EvalError::stuck(format!(
+                                            "ext function returned a non-set {other}"
+                                        )))
+                                    }
+                                }
+                            }
+                            Ok((parts, max_span))
+                        },
+                    )?,
+                };
                 let result = self.merge_ext_parts(region.as_ref(), parts)?;
                 self.add_work(result.len() as u64)?;
                 self.note_set(&result)?;
@@ -890,25 +889,25 @@ impl Evaluator {
         }
 
         // Leaves: f applied to every element, independently (parallel).
-        let leaves: Vec<(Value, u64)> = match self.parallel_region(set.len(), &f_clo) {
-            Some(region) => {
-                self.par_leaf_map(&region, &f_clo, set.as_slice(), false, &bound_val)?
-            }
-            None => {
-                let mut out = Vec::with_capacity(set.len());
-                for x in set.iter() {
-                    let (mut v, s) = self.apply_obj(&f_clo, x.clone())?;
+        let (leaves, _) = self.shards(
+            self.parallel_region(set.len(), &f_clo).as_ref(),
+            Cow::Borrowed(set.as_slice()),
+            1,
+            |ev, elements| {
+                let mut out = Vec::with_capacity(elements.len());
+                for x in elements.iter() {
+                    let (mut v, s) = ev.apply_obj(&f_clo, x.clone())?;
                     if let Some(b) = &bound_val {
                         v = meet(&v, b)?;
                     }
                     if let Value::Set(s) = &v {
-                        self.note_set(s)?;
+                        ev.note_set(s)?;
                     }
                     out.push((v, s));
                 }
-                out
-            }
-        };
+                Ok((out, 0))
+            },
+        )?;
 
         if self.config.check_algebraic_laws {
             self.spot_check_laws(&u_clo, &e_val, &leaves, &bound_val)?;
@@ -919,41 +918,43 @@ impl Evaluator {
         // few pairs to clear the cutover and falls back to sequential).
         let mut level = leaves;
         while level.len() > 1 {
-            level = match self.parallel_region(level.len() / 2, &u_clo) {
-                Some(region) => self.par_combine_round(&region, &u_clo, level, &bound_val)?,
-                None => self.seq_combine_round(&u_clo, level, &bound_val)?,
-            };
+            level = self.combine_round(&u_clo, level, &bound_val)?;
         }
         let (result, tree_span) = level.pop().expect("non-empty set has a combining result");
         Ok((RtVal::Obj(result), prefix_span + tree_span + 1))
     }
 
-    /// One sequential round of pairwise combining: `u(v₀,v₁), u(v₂,v₃), …`,
-    /// with an odd tail element passed through unchanged.
-    fn seq_combine_round(
+    /// One round of pairwise combining: `u(v₀,v₁), u(v₂,v₃), …`, with an odd
+    /// tail element passed through unchanged. The sequential arm moves the
+    /// operands out of `level`; forked shards clone the pairs they combine.
+    fn combine_round(
         &mut self,
         u_clo: &Closure,
         level: Vec<(Value, u64)>,
         bound_val: &Option<Value>,
     ) -> EvalResult<Vec<(Value, u64)>> {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some((a, sa)) = it.next() {
-            match it.next() {
-                Some((b, sbn)) => {
-                    self.stats.combiner_calls += 1;
-                    let (mut c, sc) = self.apply2(u_clo, a, b)?;
-                    if let Some(bd) = bound_val {
-                        c = meet(&c, bd)?;
+        let region = self.parallel_region(level.len() / 2, u_clo);
+        let (next, _) = self.shards(region.as_ref(), Cow::Owned(level), 2, |ev, level| {
+            let mut next = Vec::with_capacity(level.len().div_ceil(2));
+            let mut it = level.into_owned().into_iter();
+            while let Some((a, sa)) = it.next() {
+                match it.next() {
+                    Some((b, sbn)) => {
+                        ev.stats.combiner_calls += 1;
+                        let (mut c, sc) = ev.apply2(u_clo, a, b)?;
+                        if let Some(bd) = bound_val {
+                            c = meet(&c, bd)?;
+                        }
+                        if let Value::Set(s) = &c {
+                            ev.note_set(s)?;
+                        }
+                        next.push((c, sa.max(sbn) + sc));
                     }
-                    if let Value::Set(s) = &c {
-                        self.note_set(s)?;
-                    }
-                    next.push((c, sa.max(sbn) + sc));
+                    None => next.push((a, sa)),
                 }
-                None => next.push((a, sa)),
             }
-        }
+            Ok((next, 0))
+        })?;
         Ok(next)
     }
 
@@ -991,13 +992,10 @@ impl Evaluator {
     /// every columnar row of `set`, charging per row exactly what the
     /// interpreter charges to apply the closure to that element (the kernel
     /// returns the interpreter's `(work, span)`), and canonicalizing the
-    /// emitted rows into result parts for [`Self::merge_ext_parts`]. With a
-    /// region permit the rows are sharded across the pool — one part and one
-    /// reusable scratch state per shard, worker statistics absorbed in shard
-    /// order — otherwise a single sequential pass produces one part. Either
-    /// way the parts union to the same canonical set the interpreted map
-    /// produces, and the statistics are bit-identical across all four
-    /// (backend × strategy) combinations.
+    /// emitted rows into one result part per shard (one reusable scratch
+    /// state each) for [`Self::merge_ext_parts`]. The parts union to the same
+    /// canonical set the interpreted map produces, and the statistics are
+    /// bit-identical across all four (backend × strategy) combinations.
     fn ext_rows_kernel(
         &mut self,
         region: Option<&RegionPermit>,
@@ -1007,137 +1005,63 @@ impl Evaluator {
         let (_, width, words) = set
             .columnar_rows()
             .expect("the kernel path is only taken for columnar sets");
-        match region {
-            Some(region) => {
-                let rows: Vec<&[u64]> = words.chunks_exact(width).collect();
-                let parent = self.worker();
-                let shards = region
-                    .run(&rows, |_, shard| {
-                        let mut ev = parent.worker();
-                        let mut st = kernel.new_state();
-                        let mut out = Vec::with_capacity(shard.len() * kernel.output_width());
-                        let mut max_span = 0u64;
-                        for row in shard {
-                            ev.stats.ext_calls += 1;
-                            let (w, s) = kernel.run_row(row, &mut st, &mut out);
-                            ev.add_work(w)?;
-                            max_span = max_span.max(s);
-                        }
-                        Ok::<_, EvalError>((kernel.collect_rows(out), max_span, ev.stats))
-                    })
-                    .map_err(flatten_task_error)?;
-                let mut parts = Vec::with_capacity(shards.len());
-                let mut max_span = 0u64;
-                for (part, span, stats) in shards {
-                    self.absorb_stats(&stats);
-                    max_span = max_span.max(span);
-                    parts.push(part);
-                }
-                Ok((parts, max_span))
+        self.shards(region, Cow::Borrowed(words), width, |ev, words| {
+            let mut st = kernel.new_state();
+            let mut out = Vec::with_capacity(words.len() / width * kernel.output_width());
+            let mut max_span = 0u64;
+            for row in words.chunks_exact(width) {
+                ev.stats.ext_calls += 1;
+                let (w, s) = kernel.run_row(row, &mut st, &mut out);
+                ev.add_work(w)?;
+                max_span = max_span.max(s);
             }
-            None => {
-                let mut st = kernel.new_state();
-                let mut out = Vec::with_capacity(set.len() * kernel.output_width());
-                let mut max_span = 0u64;
-                for row in words.chunks_exact(width) {
-                    self.stats.ext_calls += 1;
-                    let (w, s) = kernel.run_row(row, &mut st, &mut out);
-                    self.add_work(w)?;
-                    max_span = max_span.max(s);
-                }
-                Ok((vec![kernel.collect_rows(out)], max_span))
-            }
-        }
+            Ok((vec![kernel.collect_rows(out)], max_span))
+        })
     }
 
-    // ----- parallel backend (forking onto the `ncql-pram` pool) -----
-
-    /// Apply `clo` to every element across the pool's worker threads, returning
-    /// per-element `(value, span)` in element order. `is_ext` selects the `ext`
-    /// accounting (per-element `ext_calls`) versus the recursor-leaf accounting
-    /// (bounding meet + set-size notes). Worker statistics are absorbed after
-    /// the region completes, so work tallies match the sequential backend
-    /// exactly no matter which thread stole which chunk.
-    fn par_leaf_map(
+    /// Run one region's per-element `body` over `items`, which it reads in
+    /// groups of `group` consecutive items (a row's words, a combining
+    /// pair) and returns as `(outputs in item order, max span)`.
+    ///
+    /// Without a permit this is the direct call `body(self, items)`: no
+    /// worker evaluator, no copies, and an owned `items` stays owned, so a
+    /// body may move its operands out. With a permit the groups are sharded
+    /// across the pool: each shard runs `body` on a fresh [`Self::worker`]
+    /// over a borrowed slice, and the outputs are concatenated and the
+    /// worker statistics absorbed in shard order — so the tallies match the
+    /// direct call exactly, whichever thread stole which chunk.
+    fn shards<T, X>(
         &mut self,
-        region: &RegionPermit,
-        clo: &Closure,
-        elements: &[Value],
-        is_ext: bool,
-        bound_val: &Option<Value>,
-    ) -> EvalResult<Vec<(Value, u64)>> {
-        let parent = self.worker();
+        region: Option<&RegionPermit>,
+        items: Cow<'_, [T]>,
+        group: usize,
+        body: impl Fn(&mut Evaluator, Cow<'_, [T]>) -> EvalResult<(Vec<X>, u64)> + Sync,
+    ) -> EvalResult<(Vec<X>, u64)>
+    where
+        T: Clone + Sync,
+        X: Send,
+    {
+        let Some(region) = region else {
+            return body(self, items);
+        };
+        let starts: Vec<usize> = (0..items.len()).step_by(group).collect();
         let shards = region
-            .run(elements, |_, shard| {
-                let mut ev = parent.worker();
-                let mut out = Vec::with_capacity(shard.len());
-                for x in shard {
-                    if is_ext {
-                        ev.stats.ext_calls += 1;
-                    }
-                    let (mut v, s) = ev.apply_obj(clo, x.clone())?;
-                    if !is_ext {
-                        if let Some(b) = bound_val {
-                            v = meet(&v, b)?;
-                        }
-                        if let Value::Set(s) = &v {
-                            ev.note_set(s)?;
-                        }
-                    }
-                    out.push((v, s));
-                }
+            .run(&starts, |_, shard| {
+                let lo = shard[0];
+                let hi = (shard[shard.len() - 1] + group).min(items.len());
+                let mut ev = self.worker();
+                let out = body(&mut ev, Cow::Borrowed(&items[lo..hi]))?;
                 Ok::<_, EvalError>((out, ev.stats))
             })
             .map_err(flatten_task_error)?;
-        let mut out = Vec::with_capacity(elements.len());
-        for (items, stats) in shards {
+        let mut out = Vec::with_capacity(shards.iter().map(|((items, _), _)| items.len()).sum());
+        let mut max_span = 0u64;
+        for ((items, span), stats) in shards {
             self.absorb_stats(&stats);
             out.extend(items);
+            max_span = max_span.max(span);
         }
-        Ok(out)
-    }
-
-    /// One parallel round of pairwise combining, sharded across the pool.
-    /// Pairings, spans and tallies are identical to [`Self::seq_combine_round`].
-    fn par_combine_round(
-        &mut self,
-        region: &RegionPermit,
-        u_clo: &Closure,
-        level: Vec<(Value, u64)>,
-        bound_val: &Option<Value>,
-    ) -> EvalResult<Vec<(Value, u64)>> {
-        let pairs: Vec<&[(Value, u64)]> = level.chunks(2).collect();
-        let parent = self.worker();
-        let shards = region
-            .run(&pairs, |_, shard| {
-                let mut ev = parent.worker();
-                let mut out = Vec::with_capacity(shard.len());
-                for chunk in shard {
-                    match chunk {
-                        [(a, sa), (b, sbn)] => {
-                            ev.stats.combiner_calls += 1;
-                            let (mut c, sc) = ev.apply2(u_clo, a.clone(), b.clone())?;
-                            if let Some(bd) = bound_val {
-                                c = meet(&c, bd)?;
-                            }
-                            if let Value::Set(s) = &c {
-                                ev.note_set(s)?;
-                            }
-                            out.push((c, (*sa).max(*sbn) + sc));
-                        }
-                        [(a, sa)] => out.push((a.clone(), *sa)),
-                        _ => unreachable!("chunks(2) yields chunks of length 1 or 2"),
-                    }
-                }
-                Ok::<_, EvalError>((out, ev.stats))
-            })
-            .map_err(flatten_task_error)?;
-        let mut out = Vec::with_capacity(pairs.len());
-        for (items, stats) in shards {
-            self.absorb_stats(&stats);
-            out.extend(items);
-        }
-        Ok(out)
+        Ok((out, max_span))
     }
 
     /// Spot-check the algebraic preconditions of `dcr`/`sru` on the values that

@@ -18,13 +18,14 @@
 //!   computations, and the span of `sri` is linear — this is exactly the
 //!   observable difference between the NC language (Theorems 6.1/6.2) and the
 //!   PTIME language (Proposition 6.6).
-//! * [`parallel`] — the parallel evaluation backend: with
-//!   `EvalConfig::parallelism` set (or through [`parallel::ParallelEvaluator`]),
-//!   the `ext` element map and the `dcr` leaf map and combining-tree rounds are
-//!   forked onto `ncql-pram`'s persistent work-stealing pool, with a
-//!   cost-model-driven cutover so small regions stay sequential and a
-//!   thread-budget semaphore so nested regions borrow idle workers. Values and
-//!   cost statistics are bit-identical to the sequential backend.
+//! * [`parallel`] — how the parallel backend works and its parallelism knob
+//!   helpers. There is one evaluator: an [`Evaluator`] whose
+//!   [`EvalConfig::parallelism`] is `Some(n ≥ 2)` forks the `ext` element map
+//!   and the `dcr` leaf map and combining-tree rounds onto `ncql-pram`'s
+//!   persistent work-stealing pool, with a cost-model-driven cutover so small
+//!   regions stay sequential and a thread-budget semaphore so nested regions
+//!   borrow idle workers. Values and cost statistics are bit-identical to the
+//!   sequential backend.
 //! * [`analysis`] — free variables, expression size, and the *depth of recursion
 //!   nesting* of §3, which stratifies the language into the ACᵏ levels.
 //! * [`analyze`] — prepare-time static analysis: symbolic work/span upper
@@ -70,7 +71,7 @@ pub use error::{EvalError, TypeError, TypeErrorKind};
 pub use eval::{CancelToken, CostStats, EvalConfig, Evaluator};
 pub use expr::{Expr, ExprKind};
 pub use kernel::{kernel_stats, KernelSite, KernelStats};
-pub use parallel::{eval_parallel, normalize_parallelism, parallelism_from_env, ParallelEvaluator};
+pub use parallel::{normalize_parallelism, parallelism_from_env};
 pub use rewrite::{optimize, FiredRewrite, OptLevel, RewriteOutcome};
 pub use span::Span;
 pub use typecheck::{typecheck, typecheck_closed, TypeEnv};

@@ -1,137 +1,49 @@
-//! The parallel evaluation backend: a thin, explicit front door over the
-//! parallel dispatch built into [`crate::eval::Evaluator`].
+//! The parallel evaluation backend: how
+//! [`Evaluator`](crate::eval::Evaluator) forks regions onto a pool, and the
+//! helpers that normalize the parallelism knob.
+//!
+//! There is one evaluator and one entry point: an `Evaluator` built from an
+//! [`EvalConfig`](crate::eval::EvalConfig) whose `parallelism` is `Some(n)`
+//! with `n ≥ 2` runs on the parallel backend; `None`, `Some(0)` and
+//! `Some(1)` run sequentially. Most
+//! callers go through the engine's `Session`, which builds that evaluator
+//! per execution and shares one pool across executions.
 //!
 //! The paper's Theorem 6.2 places the `bdcr` language in NC because `ext`
 //! applies its function to all elements *independently* and the `dcr`
-//! combining tree has depth `⌈log₂ m⌉`. The evaluator's cost model has always
-//! scored queries that way; with `EvalConfig::parallelism` set, the same two
-//! constructs are actually forked across worker threads — since this
-//! revision onto a *persistent work-stealing pool*
+//! combining tree has depth `⌈log₂ m⌉`. The evaluator's cost model scores
+//! queries that way on both backends; on the parallel backend the same
+//! constructs are actually forked. There are four region kinds: the
+//! interpreted `ext` element map, the row-kernel `ext` map, the
+//! `dcr`/`sru`/`bdcr` leaf map, and one combining round. Each has a single
+//! per-element body, which the evaluator either calls directly or runs once
+//! per shard on a persistent work-stealing pool
 //! ([`ncql_pram::WorkStealingPool`]): one lazily-spawned worker set per
-//! `ParallelEvaluator` (or per engine `Session`), a chunk deque per worker
-//! with stealing at region boundaries, so a region costs a queue push rather
-//! than a thread spawn and uneven leaf costs rebalance. The NC bound is a
-//! span claim, and span only survives into wall-clock when regions don't pay
-//! thread start-up latency per combining round. The backends remain
-//! *observationally identical*: values, work, span and every per-construct
-//! counter agree bit-for-bit under every pool size and steal schedule, and a
-//! resource-limit error (`SetTooLarge` / `WorkLimitExceeded`) fires in a
-//! parallel run exactly when one fires sequentially — though when both
-//! limits are crossed by the same evaluation, which of the two is reported
-//! may differ, since shards discover their budget overruns concurrently. The
-//! differential suite and `tests/pool_scheduling_stress.rs` pin all of this
-//! down.
+//! evaluator (or per engine `Session`), a chunk deque per worker with
+//! stealing at region boundaries, so a region costs a queue push rather than
+//! a thread spawn and uneven leaf costs rebalance. The NC bound is a span
+//! claim, and span only survives into wall-clock when regions don't pay
+//! thread start-up latency per combining round.
+//!
+//! The backends are *observationally identical*: values, work, span and
+//! every per-construct counter agree bit-for-bit under every pool size and
+//! steal schedule, and a resource-limit error (`SetTooLarge` /
+//! `WorkLimitExceeded`) fires in a parallel run exactly when one fires
+//! sequentially — though when both limits are crossed by the same
+//! evaluation, which of the two is reported may differ, since shards
+//! discover their budget overruns concurrently. The differential suite and
+//! `tests/pool_scheduling_stress.rs` pin all of this down.
 //!
 //! Cutover: forking a region only pays when there is enough work to amortize
-//! region dispatch, so a region (leaf map, `ext` map, or one combining round)
-//! is forked only when `applications × per-application cost` (the closure
-//! body's static work bound from [`crate::analyze`] when finite, else
-//! `1 + body size`) reaches
+//! region dispatch, so a region is forked only when
+//! `applications × per-application cost` (the closure body's static work
+//! bound from [`crate::analyze`] when finite, else `1 + body size`) reaches
 //! `EvalConfig::parallel_cutoff`; smaller regions — and the top of every
 //! combining tree — run sequentially on the calling thread. Forked regions
 //! additionally borrow workers from the pool's thread-budget semaphore, which
 //! is what lets a *nested* `dcr` (one inside another's leaf map) borrow
 //! whatever workers the outer region left idle instead of being forced
 //! sequential; an inner region that gets no permit stays inline.
-
-use crate::eval::{CostStats, EvalConfig, Evaluator};
-use crate::expr::Expr;
-use crate::EvalResult;
-use ncql_object::Value;
-
-/// An evaluator that forks `ext` element maps and `dcr`/`sru`/`bdcr` leaf maps
-/// and combining-tree rounds across worker threads. Produces bit-identical
-/// values and cost statistics to the sequential [`Evaluator`].
-#[derive(Debug)]
-pub struct ParallelEvaluator {
-    inner: Evaluator,
-}
-
-impl ParallelEvaluator {
-    /// Create a parallel evaluator with the default configuration and the
-    /// given number of worker threads (values `0` and `1` degrade to the
-    /// sequential backend).
-    pub fn new(threads: usize) -> ParallelEvaluator {
-        ParallelEvaluator::with_config(EvalConfig {
-            parallelism: Some(threads),
-            ..EvalConfig::default()
-        })
-    }
-
-    /// Create a parallel evaluator from a full configuration. A `parallelism`
-    /// of `None` is upgraded to the number of available cores — constructing a
-    /// `ParallelEvaluator` is an explicit request for the parallel backend.
-    pub fn with_config(config: EvalConfig) -> ParallelEvaluator {
-        let threads = config
-            .parallelism
-            .unwrap_or_else(ncql_pram::available_threads);
-        ParallelEvaluator {
-            inner: Evaluator::new(EvalConfig {
-                parallelism: Some(threads),
-                ..config
-            }),
-        }
-    }
-
-    /// The number of worker threads this evaluator forks onto.
-    pub fn threads(&self) -> usize {
-        self.inner.config().parallelism.unwrap_or(1)
-    }
-
-    /// Attach a persistent work-stealing pool, replacing the one the
-    /// evaluator would otherwise create lazily on its first evaluation. The
-    /// engine's `Session` shares one pool across every execution this way.
-    pub fn attach_pool(&mut self, pool: std::sync::Arc<ncql_pram::WorkStealingPool>) {
-        self.inner.attach_pool(pool);
-    }
-
-    /// The pool parallel regions fork onto, once one has been created or
-    /// attached (lazily: `None` before the first evaluation).
-    pub fn pool(&self) -> Option<&std::sync::Arc<ncql_pram::WorkStealingPool>> {
-        self.inner.pool()
-    }
-
-    /// Attach a cooperative cancellation token (see
-    /// [`Evaluator::attach_cancel`]); every worker thread of the evaluation
-    /// inherits it, so one `cancel` stops them all.
-    pub fn attach_cancel(&mut self, token: crate::eval::CancelToken) {
-        self.inner.attach_cancel(token);
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EvalConfig {
-        self.inner.config()
-    }
-
-    /// Cost statistics of the most recent evaluation (identical to what the
-    /// sequential backend reports for the same query).
-    pub fn stats(&self) -> CostStats {
-        self.inner.stats()
-    }
-
-    /// Evaluate a closed expression of object type. Resets the statistics.
-    pub fn eval_closed(&mut self, expr: &Expr) -> EvalResult<Value> {
-        self.inner.eval_closed(expr)
-    }
-
-    /// Evaluate an expression whose free variables are bound to the given
-    /// complex-object values. Resets the statistics.
-    pub fn eval_with_bindings(
-        &mut self,
-        expr: &Expr,
-        bindings: &[(String, Value)],
-    ) -> EvalResult<Value> {
-        self.inner.eval_with_bindings(expr, bindings)
-    }
-}
-
-/// Evaluate a closed expression on the parallel backend with the given number
-/// of worker threads, returning the value and the cost statistics.
-pub fn eval_parallel(expr: &Expr, threads: usize) -> EvalResult<(Value, CostStats)> {
-    let mut ev = ParallelEvaluator::new(threads);
-    let v = ev.eval_closed(expr)?;
-    Ok((v, ev.stats()))
-}
 
 /// Normalize a requested parallelism knob to its canonical form: `Some(0)` and
 /// `Some(1)` mean "no parallelism", exactly like `None`, and are mapped to
@@ -164,9 +76,10 @@ pub fn parallelism_from_env() -> Option<usize> {
 mod tests {
     use super::*;
     use crate::error::EvalError;
-    use crate::eval::eval_with_stats;
+    use crate::eval::{eval_with_stats, EvalConfig, Evaluator};
+    use crate::expr::Expr;
     use crate::externs::ExternRegistry;
-    use ncql_object::Type;
+    use ncql_object::{Type, VSet, Value};
 
     fn parity(n: u64) -> Expr {
         let xor = Expr::lam2(
@@ -193,7 +106,7 @@ mod tests {
             let e = parity(n);
             let (seq_v, seq_stats) = eval_with_stats(&e).unwrap();
             for threads in [1usize, 2, 4, 8] {
-                let mut ev = ParallelEvaluator::with_config(EvalConfig {
+                let mut ev = Evaluator::new(EvalConfig {
                     parallelism: Some(threads),
                     parallel_cutoff: 1,
                     ..EvalConfig::default()
@@ -217,7 +130,7 @@ mod tests {
         );
         let e = Expr::ext(f, Expr::constant(Value::atom_set(0..500)));
         let (seq_v, seq_stats) = eval_with_stats(&e).unwrap();
-        let mut ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut ev = Evaluator::new(EvalConfig {
             parallelism: Some(4),
             parallel_cutoff: 1,
             ..EvalConfig::default()
@@ -226,30 +139,51 @@ mod tests {
         assert_eq!(ev.stats(), seq_stats);
     }
 
+    /// A kernel-liftable `ext` over a columnar set: `{(pi2 x, pi1 x)}` over 64
+    /// atom pairs, so a parallel run takes the row-kernel shard path.
+    fn swap_pairs() -> Expr {
+        let x = || Expr::var("x");
+        let body = Expr::singleton(Expr::pair(Expr::proj2(x()), Expr::proj1(x())));
+        let set: VSet = (0..64u64)
+            .map(|i| Value::pair(Value::Atom(i), Value::Atom(2 * i)))
+            .collect();
+        assert!(set.is_columnar(), "the input must take the kernel path");
+        let shape = set.columnar_rows().unwrap().0.clone();
+        assert!(
+            crate::kernel::compile("x", &body, &shape, &ExternRegistry::standard()).is_ok(),
+            "the body must compile to a row kernel"
+        );
+        Expr::ext(
+            Expr::lam("x", Type::prod(Type::Base, Type::Base), body),
+            Expr::constant(Value::Set(set)),
+        )
+    }
+
     #[test]
     fn work_limit_fires_identically_across_backends() {
-        let e = parity(128);
-        let (_, full) = eval_with_stats(&e).unwrap();
-        for limit in [full.work, full.work - 1, full.work / 2, 10] {
-            let mut seq = Evaluator::new(EvalConfig {
-                max_work: limit,
-                ..EvalConfig::default()
-            });
-            let mut par = ParallelEvaluator::with_config(EvalConfig {
-                max_work: limit,
-                parallelism: Some(4),
-                parallel_cutoff: 1,
-                ..EvalConfig::default()
-            });
-            let seq_out = seq.eval_closed(&e);
-            let par_out = par.eval_closed(&e);
-            match (seq_out, par_out) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "limit={limit}"),
-                (
-                    Err(EvalError::WorkLimitExceeded { limit: a, .. }),
-                    Err(EvalError::WorkLimitExceeded { limit: b, .. }),
-                ) => assert_eq!(a, b, "limit={limit}"),
-                (s, p) => panic!("backends disagree at limit {limit}: seq={s:?} par={p:?}"),
+        for e in [parity(128), swap_pairs()] {
+            let (_, full) = eval_with_stats(&e).unwrap();
+            for limit in [full.work, full.work - 1, full.work / 2, 10] {
+                let mut seq = Evaluator::new(EvalConfig {
+                    max_work: limit,
+                    ..EvalConfig::default()
+                });
+                let mut par = Evaluator::new(EvalConfig {
+                    max_work: limit,
+                    parallelism: Some(4),
+                    parallel_cutoff: 1,
+                    ..EvalConfig::default()
+                });
+                let seq_out = seq.eval_closed(&e);
+                let par_out = par.eval_closed(&e);
+                match (seq_out, par_out) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "limit={limit}"),
+                    (
+                        Err(EvalError::WorkLimitExceeded { limit: a, .. }),
+                        Err(EvalError::WorkLimitExceeded { limit: b, .. }),
+                    ) => assert_eq!(a, b, "limit={limit}"),
+                    (s, p) => panic!("backends disagree at limit {limit}: seq={s:?} par={p:?}"),
+                }
             }
         }
     }
@@ -273,7 +207,7 @@ mod tests {
             Expr::singleton(Expr::extern_call("explode", vec![Expr::var("x")])),
         );
         let e = Expr::ext(f, Expr::constant(Value::atom_set(0..64)));
-        let mut ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut ev = Evaluator::new(EvalConfig {
             registry,
             parallelism: Some(4),
             parallel_cutoff: 1,
@@ -291,10 +225,10 @@ mod tests {
 
     #[test]
     fn cutover_keeps_small_regions_sequential_with_identical_results() {
-        // A cutoff so high nothing forks: the parallel evaluator must still be
-        // correct (it *is* the sequential path then).
+        // A cutoff so high nothing forks: the parallel configuration must
+        // still be correct (it *is* the sequential path then).
         let e = parity(100);
-        let mut ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut ev = Evaluator::new(EvalConfig {
             parallelism: Some(8),
             parallel_cutoff: u64::MAX,
             ..EvalConfig::default()
@@ -306,7 +240,7 @@ mod tests {
 
     #[test]
     fn one_pool_persists_across_evaluations() {
-        let mut ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut ev = Evaluator::new(EvalConfig {
             parallelism: Some(4),
             parallel_cutoff: 1,
             ..EvalConfig::default()
@@ -335,7 +269,7 @@ mod tests {
         // must not notice.
         let e = parity(130);
         let (seq_v, seq_stats) = eval_with_stats(&e).unwrap();
-        let mut ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut ev = Evaluator::new(EvalConfig {
             parallelism: Some(2),
             pool_threads: Some(8),
             parallel_cutoff: 1,

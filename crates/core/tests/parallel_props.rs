@@ -21,7 +21,6 @@
 use ncql_core::error::EvalError;
 use ncql_core::eval::{eval_with_stats, CostStats, EvalConfig, Evaluator};
 use ncql_core::expr::Expr;
-use ncql_core::parallel::ParallelEvaluator;
 use ncql_core::EvalResult;
 use ncql_object::{Type, Value};
 use proptest::prelude::*;
@@ -116,12 +115,12 @@ fn random_query(shape: u64, atoms: Vec<u64>, shift: u64) -> Expr {
     }
 }
 
-fn eval_parallel_with(
+fn eval_with_threads(
     expr: &Expr,
     threads: usize,
     base: EvalConfig,
 ) -> EvalResult<(Value, CostStats)> {
-    let mut ev = ParallelEvaluator::with_config(EvalConfig {
+    let mut ev = Evaluator::new(EvalConfig {
         parallelism: Some(threads),
         parallel_cutoff: 1,
         ..base
@@ -130,7 +129,7 @@ fn eval_parallel_with(
     Ok((v, ev.stats()))
 }
 
-/// Like [`eval_parallel_with`], but with the pool scheduling knobs exposed:
+/// Like [`eval_with_threads`], but with the pool scheduling knobs exposed:
 /// an independent pool size (possibly oversubscribed relative to `threads`)
 /// and a steal-order seed. Every combination must be observationally
 /// identical to the sequential backend.
@@ -141,7 +140,7 @@ fn eval_on_pool(
     steal_seed: u64,
     base: EvalConfig,
 ) -> EvalResult<(Value, CostStats)> {
-    eval_parallel_with(
+    eval_with_threads(
         expr,
         threads,
         EvalConfig {
@@ -201,7 +200,7 @@ proptest! {
         threads in 2usize..9,
         steal_seed in proptest::prelude::any::<u64>(),
     ) {
-        let mut ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut ev = Evaluator::new(EvalConfig {
             parallelism: Some(threads),
             parallel_cutoff: 1,
             pool_steal_seed: steal_seed,
@@ -228,7 +227,7 @@ proptest! {
         // first doubling, not hard-coded.
         let span_at = |m: u64, threads: usize| -> u64 {
             let q = parity_dcr((0..m).collect());
-            let (_, stats) = eval_parallel_with(&q, threads, EvalConfig::default()).expect("eval");
+            let (_, stats) = eval_with_threads(&q, threads, EvalConfig::default()).expect("eval");
             stats.span
         };
         let level_increment = span_at(4, threads) - span_at(2, threads);

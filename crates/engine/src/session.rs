@@ -3,10 +3,10 @@
 use crate::cache::ShardedLru;
 use crate::error::Error;
 use crate::prepared::{Backend, Outcome, PreparedPlan, PreparedQuery};
-use ncql_core::eval::{CancelToken, CostStats, EvalConfig, Evaluator};
+use ncql_core::eval::{CancelToken, EvalConfig, Evaluator};
 use ncql_core::expr::Expr;
 use ncql_core::externs::ExternRegistry;
-use ncql_core::parallel::{normalize_parallelism, ParallelEvaluator};
+use ncql_core::parallel::normalize_parallelism;
 use ncql_core::rewrite::{optimize_analyzed, OptLevel};
 use ncql_core::typecheck::{infer, value_type, TypeEnv};
 use ncql_core::{analysis, analyze_query, EvalError, Finding, Lint};
@@ -731,15 +731,6 @@ impl Session {
         self.eval_raw(expr, &[], &ExecOptions::default())
     }
 
-    /// [`Session::evaluate`] with free variables bound to values.
-    pub fn evaluate_with_bindings(
-        &self,
-        expr: &Expr,
-        bindings: &[(String, Value)],
-    ) -> Result<Outcome, EvalError> {
-        self.eval_raw(expr, bindings, &ExecOptions::default())
-    }
-
     /// The session's work-stealing pool, created on first use. Only the
     /// parallel dispatch path ever calls this, so sequential sessions stay
     /// pool-free.
@@ -766,30 +757,19 @@ impl Session {
         if let Some(limit) = options.max_set_size {
             config.max_set_size = config.max_set_size.min(limit);
         }
-        let (value, stats): (Value, CostStats) = match backend {
-            Backend::Parallel { .. } => {
-                let mut evaluator = ParallelEvaluator::with_config(config);
-                // One pool per session: every execution forks onto the same
-                // persistent worker set instead of growing its own.
-                evaluator.attach_pool(self.pool());
-                if let Some(token) = &options.cancel {
-                    evaluator.attach_cancel(token.clone());
-                }
-                let value = evaluator.eval_with_bindings(expr, bindings)?;
-                (value, evaluator.stats())
-            }
-            Backend::Sequential => {
-                let mut evaluator = Evaluator::new(config);
-                if let Some(token) = &options.cancel {
-                    evaluator.attach_cancel(token.clone());
-                }
-                let value = evaluator.eval_with_bindings(expr, bindings)?;
-                (value, evaluator.stats())
-            }
-        };
+        let mut evaluator = Evaluator::new(config);
+        if matches!(backend, Backend::Parallel { .. }) {
+            // One pool per session: every execution forks onto the same
+            // persistent worker set instead of growing its own.
+            evaluator.attach_pool(self.pool());
+        }
+        if let Some(token) = &options.cancel {
+            evaluator.attach_cancel(token.clone());
+        }
+        let value = evaluator.eval_with_bindings(expr, bindings)?;
         Ok(Outcome {
             value,
-            stats,
+            stats: evaluator.stats(),
             backend,
         })
     }

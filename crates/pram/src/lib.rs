@@ -604,26 +604,6 @@ impl RegionPermit {
         Ok(out)
     }
 
-    /// Parallel map preserving item order: apply `f` to every element, chunked
-    /// across the pool. Errors and panics follow [`RegionPermit::run`]'s
-    /// discipline.
-    pub fn map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, TaskError<E>>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&T) -> Result<R, E> + Sync,
-    {
-        let per_chunk = self.run(items, |_, chunk| {
-            chunk.iter().map(&f).collect::<Result<Vec<R>, E>>()
-        })?;
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in per_chunk {
-            out.extend(chunk);
-        }
-        Ok(out)
-    }
-
     /// One round of a parallel pairwise reduction: combine `items[0]` with
     /// `items[1]`, `items[2]` with `items[3]`, …, across the pool, and return
     /// the halved list in order (an odd tail item is carried over by clone).
@@ -736,7 +716,12 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1, 2, 3, 8] {
             let p = pool(threads);
-            let out = borrow(&p).map(&items, |x| Ok::<u64, ()>(x * x)).unwrap();
+            let out = borrow(&p)
+                .run(&items, |_, chunk| {
+                    Ok::<Vec<u64>, ()>(chunk.iter().map(|x| x * x).collect())
+                })
+                .unwrap()
+                .concat();
             assert_eq!(
                 out,
                 items.iter().map(|x| x * x).collect::<Vec<_>>(),
@@ -766,7 +751,7 @@ mod tests {
     fn empty_input_spawns_nothing() {
         let p = pool(4);
         let out = borrow(&p)
-            .map(&Vec::<u64>::new(), |_| Ok::<u64, ()>(0))
+            .run(&Vec::<u64>::new(), |_, _| Ok::<u64, ()>(0))
             .unwrap();
         assert!(out.is_empty());
         assert_eq!(
@@ -969,8 +954,11 @@ mod tests {
                 ..PoolConfig::default()
             });
             let out = borrow(&p)
-                .map(&items, |x| Ok::<u64, ()>(x * 3 + 1))
-                .unwrap();
+                .run(&items, |_, chunk| {
+                    Ok::<Vec<u64>, ()>(chunk.iter().map(|x| x * 3 + 1).collect())
+                })
+                .unwrap()
+                .concat();
             assert_eq!(out, expected, "seed={seed}");
         }
     }
