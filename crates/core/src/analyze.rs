@@ -46,6 +46,7 @@ use ncql_object::{Type, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Polynomials
@@ -922,7 +923,7 @@ impl<'a> AbsVal<'a> {
 /// realistic query; exhausting it degrades the answer to `Unbounded`.
 const DEFAULT_BUDGET: u64 = 200_000;
 
-/// Budget for the cheap per-closure analysis behind the parallel-region gate.
+/// Budget for the cheap per-lambda-site analysis behind the parallel-region gate.
 const GATE_BUDGET: u64 = 2_000;
 
 /// Maximum abstract call depth — a stack-overflow guard independent of the
@@ -2061,12 +2062,15 @@ pub fn analyze_query(
 
 /// The per-application cost estimate behind the evaluator's parallel-region
 /// gate: the closure body's static work bound when the analyser can pin a
-/// finite constant, else the legacy `1 + body size` heuristic. Memoised per
-/// closure by the evaluator, so the (cheap, gate-budgeted) analysis runs at
-/// most once per distinct lambda.
+/// finite constant, else the legacy `1 + body size` heuristic. The evaluator
+/// caches the result per lambda site for one top-level evaluation, so the
+/// (gate-budgeted) analysis runs at most once per `Lam` node per evaluation,
+/// however many closures that node builds. Extern costs are read from the
+/// standard registry, built once per process.
 pub(crate) fn region_gate_cost(body: &Expr) -> u64 {
-    let registry = ExternRegistry::standard();
-    let mut analyzer = Analyzer::new(&registry, &[], GATE_BUDGET);
+    static REGISTRY: OnceLock<ExternRegistry> = OnceLock::new();
+    let registry = REGISTRY.get_or_init(ExternRegistry::standard);
+    let mut analyzer = Analyzer::new(registry, &[], GATE_BUDGET);
     let (_, cost) = analyzer.eval(body, &None);
     match cost.work.hi.eval_closed() {
         Some(w) => w.max(1),

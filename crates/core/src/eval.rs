@@ -22,8 +22,9 @@ use crate::EvalResult;
 use ncql_object::{FlatShape, VSet, Value};
 use ncql_pram::{RegionPermit, TaskError, WorkStealingPool};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Resource limits and options for an evaluation.
 #[derive(Clone)]
@@ -223,52 +224,69 @@ pub struct CostStats {
 /// Runtime values: complex objects or closures (function values exist only
 /// transiently, as arguments of `ext`, recursors and applications).
 #[derive(Debug, Clone)]
-enum RtVal {
+enum RtVal<'a> {
     Obj(Value),
-    Clo(Closure),
+    Clo(Closure<'a>),
 }
 
-/// Function values. `Arc`-shared body and environment make closures `Send +
-/// Sync`, so the parallel backend can hand the *same* closure to every worker
-/// thread instead of deep-copying expressions per element (the `Rc` this used
-/// to be would have pinned evaluation to one thread).
+/// Function values. A closure borrows its parameter and body from the plan
+/// under evaluation and shares its lambda site's caches, so building one —
+/// which happens once per outer element for a lambda nested in an `ext`
+/// body — costs a site-table lookup and two refcount bumps, never an
+/// expression clone. Closures are `Send + Sync`, so the parallel backend
+/// hands the *same* closure to every worker thread.
 #[derive(Debug, Clone)]
-struct Closure {
-    param: String,
-    body: Arc<Expr>,
-    env: Env,
-    /// Lazily-computed per-application cost estimate for the parallel-region
-    /// gate: the body's static work bound from `analyze` when finite, else
-    /// `1 + body size`. Shared across clones so each distinct lambda is
-    /// analysed at most once per evaluation.
-    gate: Arc<OnceLock<u64>>,
-    /// Lazily-compiled row kernel for `ext` over columnar input of a given
-    /// shape (`None` once compilation rejects). Shared across clones so each
-    /// distinct lambda compiles at most once per evaluation; keyed by the
-    /// input shape it was attempted against, since the same closure can be
-    /// applied to sets of different element shapes across `ext` sites.
-    kernel: Arc<OnceLock<(FlatShape, Option<Arc<crate::kernel::RowKernel>>)>>,
+struct Closure<'a> {
+    param: &'a str,
+    body: &'a Expr,
+    env: Env<'a>,
+    site: Arc<LamSite>,
 }
 
-impl Closure {
-    /// The gate estimate (see the field docs), computed on first use.
+/// The caches of one lambda site — one `Lam` node of the plan — for one
+/// top-level evaluation, shared by every closure that node builds. Both are
+/// pure in the body (and, for the kernel, the input shape), so the gate and
+/// the kernel decision are computed once per lambda site per evaluation.
+#[derive(Debug, Default)]
+struct LamSite {
+    /// Per-application cost estimate for the parallel-region gate: the
+    /// body's static work bound from `analyze` when finite, else `1 + body
+    /// size`.
+    gate: OnceLock<u64>,
+    /// Row kernel for `ext` over columnar input of a given shape (`None`
+    /// once compilation rejects), keyed by the input shape it was attempted
+    /// against, since closures of the same site can be applied to sets of
+    /// different element shapes across `ext` sites.
+    kernel: OnceLock<(FlatShape, Option<Arc<crate::kernel::RowKernel>>)>,
+}
+
+/// The lambda sites of one top-level evaluation, keyed by the address of
+/// their `Lam` node. The plan is borrowed for the whole evaluation, so no
+/// address is reused while entries live; [`Evaluator::eval_with_bindings`]
+/// empties the table before and after each evaluation.
+type LamSites = Mutex<HashMap<usize, Arc<LamSite>>>;
+
+impl Closure<'_> {
+    /// The gate estimate (see [`LamSite::gate`]), computed on first use.
     fn gate_cost(&self) -> u64 {
         *self
+            .site
             .gate
-            .get_or_init(|| crate::analyze::region_gate_cost(&self.body))
+            .get_or_init(|| crate::analyze::region_gate_cost(self.body))
     }
 
     /// The row kernel for `ext` over rows of `shape`, compiling on first use.
-    /// Returns `None` when the body is not liftable, when the closure
-    /// captures an environment (free variables reject inside `compile`), or
-    /// when the cached attempt was made against a different input shape.
+    /// Returns `None` when the body is not liftable (free variables reject
+    /// inside `compile`, so the decision holds for every closure of the
+    /// site whatever it captures), or when the cached attempt was made
+    /// against a different input shape.
     fn row_kernel(
         &self,
         shape: &FlatShape,
         registry: &ExternRegistry,
     ) -> Option<Arc<crate::kernel::RowKernel>> {
-        let (cached_shape, kernel) = self.kernel.get_or_init(|| {
-            let compiled = crate::kernel::compile(&self.param, &self.body, shape, registry)
+        let (cached_shape, kernel) = self.site.kernel.get_or_init(|| {
+            let compiled = crate::kernel::compile(self.param, self.body, shape, registry)
                 .ok()
                 .map(Arc::new);
             (shape.clone(), compiled)
@@ -283,23 +301,23 @@ impl Closure {
 
 /// Persistent environment (cheap to clone, shared tails across threads).
 #[derive(Debug, Clone, Default)]
-struct Env {
-    head: Option<Arc<EnvNode>>,
+struct Env<'a> {
+    head: Option<Arc<EnvNode<'a>>>,
 }
 
 #[derive(Debug)]
-struct EnvNode {
-    name: String,
-    val: RtVal,
-    next: Option<Arc<EnvNode>>,
+struct EnvNode<'a> {
+    name: &'a str,
+    val: RtVal<'a>,
+    next: Option<Arc<EnvNode<'a>>>,
 }
 
-impl Env {
-    fn empty() -> Env {
+impl<'a> Env<'a> {
+    fn empty() -> Env<'a> {
         Env { head: None }
     }
 
-    fn extend(&self, name: String, val: RtVal) -> Env {
+    fn extend(&self, name: &'a str, val: RtVal<'a>) -> Env<'a> {
         Env {
             head: Some(Arc::new(EnvNode {
                 name,
@@ -309,7 +327,7 @@ impl Env {
         }
     }
 
-    fn lookup(&self, name: &str) -> Option<RtVal> {
+    fn lookup(&self, name: &str) -> Option<RtVal<'a>> {
         let mut cur = self.head.as_ref();
         while let Some(node) = cur {
             if node.name == name {
@@ -321,7 +339,7 @@ impl Env {
     }
 }
 
-impl RtVal {
+impl<'a> RtVal<'a> {
     fn into_obj(self, context: &str) -> EvalResult<Value> {
         match self {
             RtVal::Obj(v) => Ok(v),
@@ -331,7 +349,7 @@ impl RtVal {
         }
     }
 
-    fn into_clo(self, context: &str) -> EvalResult<Closure> {
+    fn into_clo(self, context: &str) -> EvalResult<Closure<'a>> {
         match self {
             RtVal::Clo(c) => Ok(c),
             RtVal::Obj(v) => Err(EvalError::stuck(format!(
@@ -408,6 +426,10 @@ pub struct Evaluator {
     /// (the default) costs nothing; workers inherit the parent's token so the
     /// whole evaluation stops together.
     cancel: Option<CancelToken>,
+    /// The lambda sites of the current evaluation, shared with its worker
+    /// evaluators so that every closure a `Lam` node builds, on any thread,
+    /// finds the same gate estimate and kernel decision.
+    sites: Arc<LamSites>,
 }
 
 impl Default for Evaluator {
@@ -425,6 +447,7 @@ impl Evaluator {
             shared_work: None,
             pool: None,
             cancel: None,
+            sites: Arc::default(),
         }
     }
 
@@ -452,10 +475,11 @@ impl Evaluator {
 
     /// A worker evaluator for one parallel chunk: same limits, registry and
     /// parallelism knobs, fresh statistics (absorbed by the parent after the
-    /// join), the parent's shared work budget, and the parent's pool handle —
+    /// join), the parent's shared work budget, the parent's pool handle —
     /// so a *nested* parallel region inside this worker can borrow whatever
     /// workers the pool's thread-budget semaphore still has idle, instead of
-    /// being forced sequential the way the fork/join backend forced it.
+    /// being forced sequential the way the fork/join backend forced it — and
+    /// the parent's lambda-site table.
     fn worker(&self) -> Evaluator {
         Evaluator {
             config: self.config.clone(),
@@ -463,6 +487,7 @@ impl Evaluator {
             shared_work: self.shared_work.clone(),
             pool: self.pool.clone(),
             cancel: self.cancel.clone(),
+            sites: self.sites.clone(),
         }
     }
 
@@ -505,16 +530,39 @@ impl Evaluator {
                 self.config.pool_config(),
             )));
         }
+        // Site entries are keyed by node address, so they must never outlive
+        // the plan they were built for: empty the table on the way in (a
+        // previous evaluation may have unwound without reaching the end) and
+        // on the way out.
+        self.clear_sites();
         let mut env = Env::empty();
         for (name, value) in bindings {
-            env = env.extend(name.clone(), RtVal::Obj(value.clone()));
+            env = env.extend(name, RtVal::Obj(value.clone()));
         }
-        let (val, span) = self.eval(expr, &env)?;
+        let result = self.eval(expr, &env);
+        self.clear_sites();
+        let (val, span) = result?;
         self.stats.span = span;
         val.into_obj("query result")
     }
 
     // ----- internals -----
+
+    /// The site entry of the `Lam` node `lam`, created on first use.
+    fn lam_site(&self, lam: &Expr) -> Arc<LamSite> {
+        let mut sites = self.sites.lock().unwrap_or_else(PoisonError::into_inner);
+        sites
+            .entry(lam as *const Expr as usize)
+            .or_default()
+            .clone()
+    }
+
+    fn clear_sites(&self) {
+        self.sites
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
 
     fn add_work(&mut self, amount: u64) -> EvalResult<()> {
         // Cooperative cancellation: the work charge is the one choke point
@@ -573,7 +621,7 @@ impl Evaluator {
     /// the borrowed permit to fork with, or `None` to stay sequential —
     /// which never changes the result or the cost statistics, only the
     /// schedule.
-    fn parallel_region(&self, apps: usize, clo: &Closure) -> Option<RegionPermit> {
+    fn parallel_region(&self, apps: usize, clo: &Closure<'_>) -> Option<RegionPermit> {
         let threads = self.parallel_threads();
         if threads <= 1 || apps < 2 {
             return None;
@@ -606,34 +654,44 @@ impl Evaluator {
         }
     }
 
-    fn apply(&mut self, clo: &Closure, arg: RtVal) -> EvalResult<(RtVal, u64)> {
+    fn apply<'a>(&mut self, clo: &Closure<'a>, arg: RtVal<'a>) -> EvalResult<(RtVal<'a>, u64)> {
         self.add_work(1)?;
-        let env = clo.env.extend(clo.param.clone(), arg);
-        let (v, s) = self.eval(&clo.body, &env)?;
+        let env = clo.env.extend(clo.param, arg);
+        let (v, s) = self.eval(clo.body, &env)?;
         Ok((v, s + 1))
     }
 
-    fn apply_obj(&mut self, clo: &Closure, arg: Value) -> EvalResult<(Value, u64)> {
+    fn apply_obj(&mut self, clo: &Closure<'_>, arg: Value) -> EvalResult<(Value, u64)> {
         let (v, s) = self.apply(clo, RtVal::Obj(arg))?;
         Ok((v.into_obj("function application result")?, s))
     }
 
     /// Apply a binary combiner (a closure expecting a pair).
-    fn apply2(&mut self, clo: &Closure, a: Value, b: Value) -> EvalResult<(Value, u64)> {
+    fn apply2(&mut self, clo: &Closure<'_>, a: Value, b: Value) -> EvalResult<(Value, u64)> {
         self.apply_obj(clo, Value::pair(a, b))
     }
 
-    fn eval_obj(&mut self, expr: &Expr, env: &Env) -> EvalResult<(Value, u64)> {
+    fn eval_obj<'a>(&mut self, expr: &'a Expr, env: &Env<'a>) -> EvalResult<(Value, u64)> {
         let (v, s) = self.eval(expr, env)?;
         Ok((v.into_obj("expected an object value")?, s))
     }
 
-    fn eval_clo(&mut self, expr: &Expr, env: &Env, what: &str) -> EvalResult<(Closure, u64)> {
+    fn eval_clo<'a>(
+        &mut self,
+        expr: &'a Expr,
+        env: &Env<'a>,
+        what: &str,
+    ) -> EvalResult<(Closure<'a>, u64)> {
         let (v, s) = self.eval(expr, env)?;
         Ok((v.into_clo(what)?, s))
     }
 
-    fn eval_set(&mut self, expr: &Expr, env: &Env, what: &str) -> EvalResult<(VSet, u64)> {
+    fn eval_set<'a>(
+        &mut self,
+        expr: &'a Expr,
+        env: &Env<'a>,
+        what: &str,
+    ) -> EvalResult<(VSet, u64)> {
         let (v, s) = self.eval_obj(expr, env)?;
         match v {
             Value::Set(set) => Ok((set, s)),
@@ -647,12 +705,12 @@ impl Evaluator {
     /// at this node, so the deepest spanned frame — the failing subexpression
     /// itself — wins. Identical on both backends: worker errors cross the
     /// pool boundary with their spans already attached.
-    fn eval(&mut self, expr: &Expr, env: &Env) -> EvalResult<(RtVal, u64)> {
+    fn eval<'a>(&mut self, expr: &'a Expr, env: &Env<'a>) -> EvalResult<(RtVal<'a>, u64)> {
         self.eval_kind(expr, env)
             .map_err(|e| e.with_span_if_missing(expr.span))
     }
 
-    fn eval_kind(&mut self, expr: &Expr, env: &Env) -> EvalResult<(RtVal, u64)> {
+    fn eval_kind<'a>(&mut self, expr: &'a Expr, env: &Env<'a>) -> EvalResult<(RtVal<'a>, u64)> {
         self.add_work(1)?;
         match &expr.kind {
             ExprKind::Var(x) => env
@@ -661,11 +719,10 @@ impl Evaluator {
                 .ok_or_else(|| EvalError::unbound(x.clone())),
             ExprKind::Lam(x, _, body) => Ok((
                 RtVal::Clo(Closure {
-                    param: x.clone(),
-                    body: Arc::new((**body).clone()),
+                    param: x,
+                    body,
                     env: env.clone(),
-                    gate: Arc::new(OnceLock::new()),
-                    kernel: Arc::new(OnceLock::new()),
+                    site: self.lam_site(expr),
                 }),
                 0,
             )),
@@ -678,7 +735,7 @@ impl Evaluator {
             }
             ExprKind::Let(x, bound, body) => {
                 let (bv, sb) = self.eval(bound, env)?;
-                let env2 = env.extend(x.clone(), bv);
+                let env2 = env.extend(x, bv);
                 let (rv, sr) = self.eval(body, &env2)?;
                 Ok((rv, sb + sr))
             }
@@ -859,15 +916,15 @@ impl Evaluator {
     /// parallel, then combine with `u` along a balanced binary tree. The span of
     /// the tree is the maximum root-to-leaf sum of combiner spans, i.e. `Θ(log m)`
     /// levels each contributing the span of one combiner application.
-    fn eval_union_recursor(
+    fn eval_union_recursor<'a>(
         &mut self,
-        env: &Env,
-        e: &Expr,
-        f: &Expr,
-        u: &Expr,
-        bound: Option<&Expr>,
-        arg: &Expr,
-    ) -> EvalResult<(RtVal, u64)> {
+        env: &Env<'a>,
+        e: &'a Expr,
+        f: &'a Expr,
+        u: &'a Expr,
+        bound: Option<&'a Expr>,
+        arg: &'a Expr,
+    ) -> EvalResult<(RtVal<'a>, u64)> {
         let (mut e_val, se) = self.eval_obj(e, env)?;
         let (f_clo, sf) = self.eval_clo(f, env, "recursor singleton map")?;
         let (u_clo, su) = self.eval_clo(u, env, "recursor combiner")?;
@@ -929,7 +986,7 @@ impl Evaluator {
     /// operands out of `level`; forked shards clone the pairs they combine.
     fn combine_round(
         &mut self,
-        u_clo: &Closure,
+        u_clo: &Closure<'_>,
         level: Vec<(Value, u64)>,
         bound_val: &Option<Value>,
     ) -> EvalResult<Vec<(Value, u64)>> {
@@ -1069,7 +1126,7 @@ impl Evaluator {
     /// few pairs, associativity on the first few triples).
     fn spot_check_laws(
         &mut self,
-        u_clo: &Closure,
+        u_clo: &Closure<'_>,
         e_val: &Value,
         leaves: &[(Value, u64)],
         bound: &Option<Value>,
@@ -1125,14 +1182,14 @@ impl Evaluator {
     /// Shared evaluation of `sri` / `esr` / `bsri`: a sequential chain of step
     /// applications, one per element. The span is the *sum* of the step spans —
     /// this is the PTIME side of the dichotomy (Proposition 6.6).
-    fn eval_insert_recursor(
+    fn eval_insert_recursor<'a>(
         &mut self,
-        env: &Env,
-        e: &Expr,
-        i: &Expr,
-        bound: Option<&Expr>,
-        arg: &Expr,
-    ) -> EvalResult<(RtVal, u64)> {
+        env: &Env<'a>,
+        e: &'a Expr,
+        i: &'a Expr,
+        bound: Option<&'a Expr>,
+        arg: &'a Expr,
+    ) -> EvalResult<(RtVal<'a>, u64)> {
         let (mut acc, se) = self.eval_obj(e, env)?;
         let (i_clo, si) = self.eval_clo(i, env, "insert recursor step")?;
         let (bound_val, sb) = match bound {
@@ -1171,15 +1228,15 @@ impl Evaluator {
 
     /// Shared evaluation of the iterators `loop` / `log-loop` / `bloop` /
     /// `blog-loop`: apply the body `|set|` or `⌈log(|set|+1)⌉` times, sequentially.
-    fn eval_iterator(
+    fn eval_iterator<'a>(
         &mut self,
-        env: &Env,
-        f: &Expr,
-        bound: Option<&Expr>,
-        set: &Expr,
-        init: &Expr,
+        env: &Env<'a>,
+        f: &'a Expr,
+        bound: Option<&'a Expr>,
+        set: &'a Expr,
+        init: &'a Expr,
         logarithmic: bool,
-    ) -> EvalResult<(RtVal, u64)> {
+    ) -> EvalResult<(RtVal<'a>, u64)> {
         let (f_clo, sf) = self.eval_clo(f, env, "iterator body")?;
         let (bound_val, sb) = match bound {
             Some(b) => {
@@ -1338,6 +1395,82 @@ mod tests {
         let (_, st_large) = eval_with_stats(&large).unwrap();
         assert_eq!(st_small.span, st_large.span);
         assert!(st_large.work > st_small.work);
+    }
+
+    /// `ext(λx. ext(λy. if π2 x = π1 y then {(π1 x, π2 y)} else {}, s), r)`:
+    /// the inner lambda is evaluated once per row of `r`, building a fresh
+    /// closure each time, and each of those closures gates and tries to
+    /// compile an `ext` over `s`.
+    #[test]
+    fn nested_lambda_closures_share_one_site() {
+        let row = Type::prod(Type::Base, Type::Base);
+        let rel = |n: u64, k: u64| {
+            Value::set_from(
+                (0..n).map(|i| Value::pair(Value::Atom(i), Value::Atom(i.wrapping_mul(k) % 16))),
+            )
+        };
+        let inner = Expr::lam(
+            "y",
+            row.clone(),
+            Expr::ite(
+                Expr::eq(Expr::proj2(Expr::var("x")), Expr::proj1(Expr::var("y"))),
+                Expr::singleton(Expr::pair(
+                    Expr::proj1(Expr::var("x")),
+                    Expr::proj2(Expr::var("y")),
+                )),
+                Expr::empty(row.clone()),
+            ),
+        );
+        let join = Expr::ext(
+            Expr::lam("x", row, Expr::ext(inner, Expr::constant(rel(64, 7)))),
+            Expr::constant(rel(64, 5)),
+        );
+        let ExprKind::Ext(outer, _) = &join.kind else {
+            unreachable!()
+        };
+        let ExprKind::Lam(_, _, outer_body) = &outer.kind else {
+            unreachable!()
+        };
+        let ExprKind::Ext(inner, _) = &outer_body.kind else {
+            unreachable!()
+        };
+        let (want, want_stats) = eval_with_stats(&join).unwrap();
+        assert!(!want.as_set().unwrap().is_empty());
+
+        let parallel = EvalConfig {
+            parallelism: Some(4),
+            parallel_cutoff: 1,
+            ..EvalConfig::default()
+        };
+        for config in [EvalConfig::default(), parallel] {
+            let forks = config.parallelism.is_some();
+            let mut ev = Evaluator::new(config);
+            assert_eq!(ev.eval_closed(&join).unwrap(), want);
+            assert_eq!(ev.stats(), want_stats);
+            // No site outlives the evaluation that built it.
+            assert!(ev.sites.lock().unwrap().is_empty());
+
+            // Below the entry point the table survives: two `Lam` nodes, two
+            // entries, however many closures the inner node built.
+            ev.eval(&join, &Env::empty()).unwrap();
+            let site = {
+                let sites = ev.sites.lock().unwrap();
+                assert_eq!(sites.len(), 2);
+                sites[&(&**inner as *const Expr as usize)].clone()
+            };
+            // Every inner ext over the columnar `s` asked for a kernel; the
+            // body captures `x`, so the one attempt rejected.
+            assert!(matches!(site.kernel.get(), Some((_, None))));
+            assert_eq!(site.gate.get().is_some(), forks);
+            for i in 0..64 {
+                let env = Env::empty().extend(
+                    "x",
+                    RtVal::Obj(Value::pair(Value::Atom(i), Value::Atom(i % 16))),
+                );
+                let (clo, _) = ev.eval_clo(inner, &env, "inner").unwrap();
+                assert!(Arc::ptr_eq(&clo.site, &site));
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!    shape, and the registry, so prepare-time analysis ([`analyze_sites`])
 //!    predicts it exactly.
 //!
-//! Compilation happens at most once per closure instance (cached on the
-//! closure like its region-gate estimate) and is itself cheap — one pass
+//! Compilation happens at most once per lambda site per evaluation (the
+//! evaluator caches the decision next to the site's region-gate estimate,
+//! shared by every closure the site builds) and is itself cheap — one pass
 //! over the body.
 
 use crate::expr::{Expr, ExprKind};

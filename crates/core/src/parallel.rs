@@ -39,7 +39,11 @@
 //! `applications × per-application cost` (the closure body's static work
 //! bound from [`crate::analyze`] when finite, else `1 + body size`) reaches
 //! `EvalConfig::parallel_cutoff`; smaller regions — and the top of every
-//! combining tree — run sequentially on the calling thread. Forked regions
+//! combining tree — run sequentially on the calling thread. The
+//! per-application cost, like the row-kernel decision, is computed once per
+//! lambda site per evaluation: every closure a `Lam` node builds — one per
+//! outer element when the lambda sits inside an `ext` body — shares that
+//! site's cached estimate, on every worker thread. Forked regions
 //! additionally borrow workers from the pool's thread-budget semaphore, which
 //! is what lets a *nested* `dcr` (one inside another's leaf map) borrow
 //! whatever workers the outer region left idle instead of being forced
