@@ -330,9 +330,13 @@ impl Client {
         if let Some(error) = response.get("error") {
             return Err(ClientError::Remote(Box::new(parse_diagnostic(error)?)));
         }
-        response
-            .get("ok")
-            .cloned()
+        // Move the `ok` member out (the last one, as `Json::get` picks)
+        // rather than cloning a possibly large value subtree.
+        let ok = match response {
+            Json::Obj(members) => members.into_iter().rev().find(|(k, _)| k == "ok"),
+            _ => None,
+        };
+        ok.map(|(_, body)| body)
             .ok_or_else(|| ClientError::Malformed(format!("neither `ok` nor `error`: {line}")))
     }
 }

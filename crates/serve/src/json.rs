@@ -18,7 +18,8 @@
 //! `u64 → f64` conversion; [`Json::as_u64`] refuses `Num` values that are not
 //! exactly representable non-negative integers rather than rounding.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts. Wire values are shallow (a
 /// binding for a deeply nested complex object is the worst case); 128 is far
@@ -47,7 +48,9 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
     /// A pre-serialized JSON fragment, emitted verbatim by the writer. Never
     /// produced by the parser — it exists so already-serialized pieces (the
-    /// engine's `Diagnostic::to_json`) embed without a parse round-trip.
+    /// engine's `Diagnostic::to_json`, and wire value encodings from
+    /// [`crate::protocol::write_value`]) embed without a parse round-trip or
+    /// a tree of their own.
     Raw(String),
 }
 
@@ -153,23 +156,37 @@ impl PartialEq for Json {
     }
 }
 
-/// Append `s` as a JSON string literal.
+/// Append `s` as a JSON string literal. Runs of bytes that need no escape
+/// are copied with one `push_str`; escapes only ever replace ASCII bytes, so
+/// every run boundary is a char boundary.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Append the decimal digits of `n`.
+pub(crate) fn write_uint(out: &mut String, n: u64) {
+    write!(out, "{n}").expect("writing to a String cannot fail");
 }
 
 fn write_value(out: &mut String, v: &Json) {
@@ -181,12 +198,13 @@ fn write_value(out: &mut String, v: &Json) {
             // Integral values print without the trailing `.0` so ids and
             // counters read (and re-parse) as integers.
             if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-                out.push_str(&format!("{}", *n as i64));
+                write!(out, "{}", *n as i64)
             } else {
-                out.push_str(&format!("{n}"));
+                write!(out, "{n}")
             }
+            .expect("writing to a String cannot fail");
         }
-        Json::UInt(n) => out.push_str(&format!("{n}")),
+        Json::UInt(n) => write_uint(out, *n),
         Json::Str(s) => write_string(out, s),
         Json::Arr(items) => {
             out.push('[');
@@ -239,13 +257,39 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over JSON text. Besides backing [`parse`], it is what the
+/// protocol uses to read a request envelope member by member and to stream
+/// binding values straight into `Value`s without building a `Json` tree.
+///
+/// Depth is counted the way [`parse`] counts it: the outermost value is at
+/// depth 0 and each array element or object member sits one level deeper
+/// than its container, so a streaming reader that passes the same depths
+/// accepts and rejects exactly what `parse` does.
+pub(crate) struct Parser<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread byte. Only ever advanced past ASCII
+    /// bytes or whole string runs, so it always sits on a char boundary.
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
+    /// A cursor at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Parser<'a> {
+        Parser { text, pos: 0 }
+    }
+
+    /// The current byte offset, for a later [`Parser::rewind`].
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Go back to an offset previously read from [`Parser::pos`].
+    pub(crate) fn rewind(&mut self, pos: usize) {
+        self.pos = pos;
+    }
+
+    /// An error at the current offset.
+    pub(crate) fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
         Err(JsonError {
             message: message.into(),
             at: self.pos,
@@ -253,7 +297,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.text.as_bytes().get(self.pos) {
             match b {
                 b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
                 _ => break,
@@ -262,7 +306,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -274,8 +318,70 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Refuse a value nested deeper than the protocol allows.
+    fn check_depth(&self, depth: usize) -> Result<(), JsonError> {
+        if depth > MAX_DEPTH {
+            return self.err("nesting deeper than the protocol allows");
+        }
+        Ok(())
+    }
+
+    /// Whether the next value (after whitespace) starts with `b`.
+    pub(crate) fn next_is(&mut self, b: u8) -> bool {
+        self.skip_ws();
+        self.peek() == Some(b)
+    }
+
+    /// Enter the array or object that `open` (`[` or `{`) starts, as a value
+    /// at nesting `depth`.
+    pub(crate) fn open(&mut self, open: u8, depth: usize) -> Result<(), JsonError> {
+        self.check_depth(depth)?;
+        self.skip_ws();
+        self.expect(open)
+    }
+
+    /// Step to the next element of the array just opened: `true` when one
+    /// follows (its separator consumed), `false` after the closing `]`.
+    /// `first` says whether any element has been read yet.
+    pub(crate) fn next_element(&mut self, first: bool) -> Result<bool, JsonError> {
+        self.next_item(b']', first, "expected `,` or `]` in array")
+    }
+
+    /// Step to the next member of the object just opened: its key (the `:`
+    /// consumed) when one follows, `None` after the closing `}`. `first` says
+    /// whether any member has been read yet.
+    pub(crate) fn next_member(&mut self, first: bool) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.next_item(b'}', first, "expected `,` or `}` in object")? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        if self.peek() != Some(b'"') {
+            return self.err("expected a string key in object");
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    fn next_item(&mut self, close: u8, first: bool, expected: &str) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => self.err(expected),
+        }
+    }
+
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -283,171 +389,142 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return self.err("nesting deeper than the protocol allows");
-        }
+    /// One whole JSON value at nesting `depth`, as a tree.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.check_depth(depth)?;
         self.skip_ws();
         match self.peek() {
             None => self.err("unexpected end of input"),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
+                while self.next_element(items.is_empty())? {
                     items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return self.err("expected `,` or `]` in array"),
-                    }
                 }
+                Ok(Json::Arr(items))
             }
             Some(b'{') => {
                 self.pos += 1;
                 let mut members = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                loop {
-                    self.skip_ws();
-                    if self.peek() != Some(b'"') {
-                        return self.err("expected a string key in object");
-                    }
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
+                while let Some(key) = self.next_member(members.is_empty())? {
                     let value = self.value(depth + 1)?;
-                    members.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(members));
-                        }
-                        _ => return self.err("expected `,` or `}` in object"),
-                    }
+                    members.push((key.into_owned(), value));
                 }
+                Ok(Json::Obj(members))
             }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => self.err(format!("unexpected byte `{}`", other as char)),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string literal. Runs of unescaped bytes are copied whole; a string
+    /// without escapes is borrowed from the input.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let mut out: Option<String> = None;
         loop {
+            let run = self.pos;
+            while let Some(&b) = bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            // The run stops before an ASCII byte or at the end of the input,
+            // so both of its ends are char boundaries.
+            let run = &self.text[run..self.pos];
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = out.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: a following `\uXXXX` low
-                                // surrogate is mandatory.
-                                if self.peek() != Some(b'\\') {
-                                    return self.err("lone high surrogate");
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return self.err("lone high surrogate");
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return self.err("invalid low surrogate");
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                match char::from_u32(code) {
-                                    Some(c) => c,
-                                    None => return self.err("invalid surrogate pair"),
-                                }
-                            } else {
-                                match char::from_u32(hi) {
-                                    Some(c) => c,
-                                    None => return self.err("invalid \\u escape"),
-                                }
-                            };
-                            out.push(c);
-                            continue; // hex4 advanced past the digits already
-                        }
-                        _ => return self.err("invalid escape"),
-                    }
-                    self.pos += 1;
+                    let c = self.escape()?;
+                    out.push(c);
                 }
-                Some(b) if b < 0x20 => return self.err("raw control character in string"),
-                Some(_) => {
-                    // Decode one UTF-8 character (the input is a &str upstream
-                    // of the byte view, so this cannot fail on valid input —
-                    // but the parser is defensive anyway).
-                    let rest = &self.bytes[self.pos..];
-                    let len = match rest[0] {
-                        b if b < 0x80 => 1,
-                        b if (0xC0..0xE0).contains(&b) => 2,
-                        b if (0xE0..0xF0).contains(&b) => 3,
-                        b if b >= 0xF0 => 4,
-                        _ => return self.err("invalid UTF-8 in string"),
-                    };
-                    if rest.len() < len {
-                        return self.err("truncated UTF-8 in string");
-                    }
-                    match std::str::from_utf8(&rest[..len]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return self.err("invalid UTF-8 in string"),
-                    }
-                    self.pos += len;
-                }
+                Some(_) => return self.err("raw control character in string"),
             }
         }
     }
 
+    /// The character an escape stands for; the cursor sits just past the
+    /// backslash and ends just past the escape.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                if !(0xD800..0xDC00).contains(&hi) {
+                    return match char::from_u32(hi) {
+                        Some(c) => Ok(c),
+                        None => self.err("invalid \\u escape"),
+                    };
+                }
+                // Surrogate pair: a following `\uXXXX` low surrogate is
+                // mandatory.
+                if self.peek() != Some(b'\\') {
+                    return self.err("lone high surrogate");
+                }
+                self.pos += 1;
+                if self.peek() != Some(b'u') {
+                    return self.err("lone high surrogate");
+                }
+                self.pos += 1;
+                let lo = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return self.err("invalid low surrogate");
+                }
+                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                return match char::from_u32(code) {
+                    Some(c) => Ok(c),
+                    None => self.err("invalid surrogate pair"),
+                };
+            }
+            _ => return self.err("invalid escape"),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return self.err("truncated \\u escape");
         }
-        let digits = &self.bytes[self.pos..end];
-        let text = std::str::from_utf8(digits).map_err(|_| JsonError {
-            message: "invalid \\u escape".to_string(),
-            at: self.pos,
-        })?;
-        let code = u32::from_str_radix(text, 16).map_err(|_| JsonError {
-            message: "invalid \\u escape".to_string(),
-            at: self.pos,
-        })?;
-        self.pos = end;
-        Ok(code)
+        let code = self
+            .text
+            .get(self.pos..end)
+            .and_then(|digits| u32::from_str_radix(digits, 16).ok());
+        match code {
+            Some(code) => {
+                self.pos = end;
+                Ok(code)
+            }
+            None => self.err("invalid \\u escape"),
+        }
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -461,10 +538,9 @@ impl<'a> Parser<'a> {
         // Plain digits so far: keep a non-negative integer exact as `UInt`
         // unless a fraction/exponent follows or it overflows `u64` (then the
         // general `f64` path below takes over).
-        let integral = self.bytes[start] != b'-';
+        let integral = self.text.as_bytes()[start] != b'-';
         if integral && !matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-            if let Ok(n) = text.parse::<u64>() {
+            if let Ok(n) = self.text[start..self.pos].parse::<u64>() {
                 return Ok(Json::UInt(n));
             }
         }
@@ -483,26 +559,28 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        match text.parse::<f64>() {
+        match self.text[start..self.pos].parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Json::Num(n)),
             _ => self.err("invalid number"),
         }
+    }
+
+    /// Require that only whitespace remains.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return self.err("trailing bytes after the JSON value");
+        }
+        Ok(())
     }
 }
 
 /// Parse one JSON value from `text`, requiring it to span the whole input
 /// (modulo surrounding whitespace).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut parser = Parser::new(text);
     let value = parser.value(0)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.err("trailing bytes after the JSON value");
-    }
+    parser.finish()?;
     Ok(value)
 }
 

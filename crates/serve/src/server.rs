@@ -242,7 +242,7 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> io::Result<LineRe
                 Ok(LineRead::Eof)
             } else {
                 // Trailing unterminated data: treat as a final line.
-                Ok(LineRead::Line(String::from_utf8_lossy(&line).into_owned()))
+                Ok(LineRead::Line(into_text(line)))
             };
         }
         match available.iter().position(|&b| b == b'\n') {
@@ -256,7 +256,7 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> io::Result<LineRe
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
-                return Ok(LineRead::Line(String::from_utf8_lossy(&line).into_owned()));
+                return Ok(LineRead::Line(into_text(line)));
             }
             None => {
                 let taken = available.len();
@@ -270,6 +270,13 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> io::Result<LineRe
             }
         }
     }
+}
+
+/// The line as text: the buffer itself when it is valid UTF-8, a lossy copy
+/// (invalid bytes replaced) otherwise.
+fn into_text(line: Vec<u8>) -> String {
+    String::from_utf8(line)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
 }
 
 fn drain_to_newline(reader: &mut impl BufRead) -> io::Result<()> {

@@ -400,3 +400,50 @@ fn close_is_acknowledged_then_the_connection_ends() {
     ));
     handle.shutdown();
 }
+
+#[test]
+fn a_bulk_binding_round_trips_like_an_in_process_execute() {
+    // 5,000 (atom, nat) rows in a scrambled order, duplicates included, so
+    // the streamed decode and the server's canonicalization both do work.
+    let rows: Vec<Value> = (0..5000u64)
+        .map(|i| {
+            let x = i.wrapping_mul(2_654_435_761) % 7919;
+            Value::pair(Value::Atom(x % 4000), Value::Nat(x % 1000))
+        })
+        .collect();
+    let bindings = vec![("r".to_string(), Value::set_from(rows))];
+    let text = "ext(\\p: (atom * nat). if nat_leq(pi2 p, 499) \
+                then {(pi1 p, nat_add(pi2 p, 1))} else empty[(atom * nat)], r)";
+    let schema = [("r".to_string(), "{(atom * nat)}".to_string())];
+
+    let handle = serve_default();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let wire = client
+        .execute_with(
+            text,
+            &ExecuteParams {
+                schema: &schema,
+                bindings: &bindings,
+                ..Default::default()
+            },
+        )
+        .expect("bulk execute over the wire");
+
+    let session = SessionBuilder::new().build();
+    let typed = [(
+        "r".to_string(),
+        ncql_surface::parse_type("{(atom * nat)}").unwrap(),
+    )];
+    let plan = session.prepare_with_schema(text, &typed).unwrap();
+    let direct = session.execute_with_bindings(&plan, &bindings).unwrap();
+
+    assert!(direct.value.as_set().unwrap().len() > 1000);
+    assert_eq!(wire.value, direct.value);
+    assert_eq!(wire.printed, direct.value.to_string());
+    assert_eq!(wire.stats.work, direct.stats.work);
+    assert_eq!(wire.stats.span, direct.stats.span);
+    assert_eq!(wire.stats.max_set_size, direct.stats.max_set_size as u64);
+
+    client.close().expect("close");
+    handle.shutdown();
+}
